@@ -6,7 +6,7 @@ GO ?= go
 # installed, so `make check` stays green on offline builders.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race vet lint vulncheck check bench explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak
+.PHONY: all build test race vet lint vulncheck check bench explain-smoke chaos-smoke cluster-smoke trace-smoke
 
 all: build
 
@@ -37,42 +37,11 @@ vulncheck:
 race:
 	$(GO) test -race ./...
 
-# parallel-race exercises the intra-query parallel execution machinery
-# under the race detector: the serial-vs-parallel differential suite,
-# the exchange/partitioned-join unit and fuzz seeds, and the concurrent
-# storm through the cluster front end under chaos faults (dead + slow
-# sources) asserting byte-identical results — no lost or duplicated
-# tuples.
-parallel-race:
-	$(GO) test -race -run 'TestParallelEquivalence|TestExplainParallelPlanShape' -count=1 ./internal/core
-	$(GO) test -race -run 'TestExchange|TestParallelHashJoin|TestParallelMatch|TestStableSort|FuzzPartition' -count=1 ./internal/algebra
-	$(GO) test -race -run 'TestParallelStormUnderChaos' -count=1 .
-
-# sched-race exercises the shared inter-query scheduler under the race
-# detector: the unit/property/starvation battery plus the grant fuzz
-# seeds, the scheduler differential suite (budgets 1/2/8, byte-identical
-# to serial) with the golden budget-workers EXPLAIN, and the mixed-class
-# storm through the cluster front end asserting granted <= budget at
-# every sampled instant and full drain (no leaked slots or workers) on
-# completion, cancellation, and fault paths.
-sched-race:
-	$(GO) test -race -count=1 ./internal/sched
-	$(GO) test -race -run 'TestSchedulerGrantEquivalence|TestExplainGoldenSchedulerBudgetWorkers' -count=1 ./internal/core
-	$(GO) test -race -run 'TestSchedStormBudgets' -count=1 .
-
-# sched-soak runs the extended scheduler workload behind the soak tag:
-# 64 concurrent mixed-class queries per budget on a fixed seed and a
-# fake clock, each answer byte-identical to a serial twin, with zero
-# starvation events and a fully drained budget afterwards.
-sched-soak:
-	$(GO) test -tags soak -race -run 'TestSchedSoakMixedClasses' -count=1 -v .
-
 # check is the full gate: go vet, the nimble-lint invariant suite, the
 # race-enabled tests (includes the dedicated concurrency tests in
-# internal/obs and internal/server), the parallel-execution and
-# scheduler race suites, and a vulnerability scan when the tooling is
-# available.
-check: vet lint race parallel-race sched-race vulncheck
+# internal/obs and internal/server), and a vulnerability scan when the
+# tooling is available.
+check: vet lint race vulncheck
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

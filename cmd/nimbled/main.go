@@ -65,9 +65,6 @@ func main() {
 	fetchTimeout := flag.Duration("fetch-timeout", 10*time.Second, "per-attempt remote fetch timeout (0 disables)")
 	fetchRetries := flag.Int("fetch-retries", 2, "retries after a transient fetch failure, with exponential backoff (0 disables)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive transient failures that open a source's circuit breaker (0 disables)")
-	parallelism := flag.Int("parallelism", 0, "intra-query worker goroutines a query requests (0 = the whole worker budget, 1 = serial); the scheduler grants min(requested, available)")
-	workerBudget := flag.Int("worker-budget", 0, "process-wide extra-worker slots shared by all concurrent queries (0 = GOMAXPROCS)")
-	queryClass := flag.String("query-class", "interactive", "default scheduling class: interactive or batch (per-request X-Nimble-Class overrides)")
 	flag.Parse()
 
 	n := *instances
@@ -97,9 +94,6 @@ func main() {
 		FetchTimeout:     *fetchTimeout,
 		FetchRetries:     *fetchRetries,
 		BreakerThreshold: *breakerThreshold,
-		Parallelism:      *parallelism,
-		WorkerBudget:     *workerBudget,
-		QueryClass:       *queryClass,
 	})
 	obs.RegisterRuntimeMetrics(sys.Metrics())
 	var fileExp *obs.FileExporter

@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -786,5 +788,35 @@ func TestConstructAllOrder(t *testing.T) {
 	}
 	if sb.String() != "12" {
 		t.Errorf("order = %q", sb.String())
+	}
+}
+
+// TestStableSortIndicesMatchesSliceStable: the permutation sort equals
+// sort.SliceStable for data with heavy key duplication.
+func TestStableSortIndicesMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 5, 64, 500} {
+		keys := make([]int, n)
+		for i := range keys {
+			keys[i] = rng.Intn(9)
+		}
+		type pair struct{ key, orig int }
+		want := make([]pair, n)
+		for i := range want {
+			want[i] = pair{keys[i], i}
+		}
+		sort.SliceStable(want, func(a, b int) bool { return want[a].key < want[b].key })
+		for _, workers := range []int{1, 3, 8} {
+			perm := StableSortIndices(n, workers, func(i, j int) int { return keys[i] - keys[j] })
+			if len(perm) != n {
+				t.Fatalf("n=%d workers=%d: perm len %d", n, workers, len(perm))
+			}
+			for i, p := range perm {
+				if p != want[i].orig {
+					t.Fatalf("n=%d workers=%d: perm[%d]=%d, want %d (stability broken)",
+						n, workers, i, p, want[i].orig)
+				}
+			}
+		}
 	}
 }

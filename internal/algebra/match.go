@@ -193,24 +193,10 @@ type Match struct {
 	Pattern   *xmlql.ElemPattern
 	Roots     func(ctx *Context) ([]xmldm.Value, error) // fixed roots, or
 	SourceVar string                                    // roots from binding variable
-	// Workers > 1 fans the candidate elements of each input binding
-	// across that many goroutines (pattern matching is pure, so the
-	// per-candidate results are computed independently and concatenated
-	// in candidate order — identical to the serial loop). The planner
-	// sets it on plan leaves when intra-query parallelism is on.
-	Workers int
 
 	ctx     *Context
 	fixed   []xmldm.Value
 	pending []Binding
-	wstats  []WorkerStat
-}
-
-// candidate is one element a pattern may match, queued for the parallel
-// matcher.
-type candidate struct {
-	elem *xmldm.Node
-	pat  *xmlql.ElemPattern
 }
 
 // Open implements Operator.
@@ -221,7 +207,6 @@ func (m *Match) Open(ctx *Context) error {
 	m.ctx = ctx
 	m.pending = nil
 	m.fixed = nil
-	m.wstats = nil
 	if m.Roots != nil {
 		roots, err := m.Roots(ctx)
 		if err != nil {
@@ -259,30 +244,6 @@ func (m *Match) Next() (Binding, error) {
 			}
 			roots = rootNodes(v)
 		}
-		if m.Workers > 1 {
-			// Collect every candidate element across the roots (the
-			// same list the serial loop walks) and match them on the
-			// worker pool; concatenation in candidate order keeps the
-			// output byte-identical to serial evaluation.
-			var cands []candidate
-			for _, rv := range roots {
-				root, ok := rv.(*xmldm.Node)
-				if !ok {
-					continue
-				}
-				for _, e := range candidatesFor(root, m.Pattern.Tag, true) {
-					cands = append(cands, candidate{elem: e, pat: m.Pattern})
-				}
-			}
-			if len(cands) > 1 {
-				bs, err := matchParallel(m.ctx, cands, in, m.Workers, &m.wstats)
-				if err != nil {
-					return nil, err
-				}
-				m.pending = append(m.pending, bs...)
-				continue
-			}
-		}
 		for _, rv := range roots {
 			root, ok := rv.(*xmldm.Node)
 			if !ok {
@@ -296,10 +257,6 @@ func (m *Match) Next() (Binding, error) {
 		}
 	}
 }
-
-// WorkerStats reports per-worker match rows and busy time when Workers
-// fan-out ran; valid after the operator is drained.
-func (m *Match) WorkerStats() []WorkerStat { return m.wstats }
 
 // rootNodes extracts the matchable nodes from a bound value: a node
 // itself, or the nodes inside a collection.

@@ -43,12 +43,6 @@ type Context struct {
 	// nil-safe).
 	Trace *obs.Span
 
-	// OnWorkers, when set, observes parallel worker-pool size changes:
-	// +n when an exchange-style operator spawns its pool, -n when the
-	// pool tears down. The engine wires the nimble_parallel_workers
-	// gauge here. Calls may come from any goroutine driving the plan.
-	OnWorkers func(delta int)
-
 	stats Stats
 }
 
@@ -58,10 +52,6 @@ type Stats struct {
 	PatternMatches int64 // element pattern match attempts
 	DrainNanos     int64 // wall time spent draining operator trees
 	OperatorsRun   int64 // operators in the drained trees
-	// WorkersSpawned / WorkerNanos count parallel workers spawned by
-	// exchange-style operators and their cumulative busy wall time.
-	WorkersSpawned int64
-	WorkerNanos    int64
 }
 
 // AddTuples adds to the emitted-tuple counter (atomically).
@@ -77,23 +67,6 @@ func (c *Context) AddDrain(d time.Duration, ops int64) {
 	atomic.AddInt64(&c.stats.OperatorsRun, ops)
 }
 
-// AddWorkers records a parallel worker-pool size change: positive
-// deltas count toward WorkersSpawned, and the OnWorkers observer (the
-// engine's nimble_parallel_workers gauge) sees every change.
-func (c *Context) AddWorkers(delta int) {
-	if delta > 0 {
-		atomic.AddInt64(&c.stats.WorkersSpawned, int64(delta))
-	}
-	if c.OnWorkers != nil {
-		c.OnWorkers(delta)
-	}
-}
-
-// AddWorkerTime accumulates parallel-worker busy wall time (atomically).
-func (c *Context) AddWorkerTime(nanos int64) {
-	atomic.AddInt64(&c.stats.WorkerNanos, nanos)
-}
-
 // Snapshot returns a copy of the counters.
 func (c *Context) Snapshot() Stats {
 	return Stats{
@@ -101,8 +74,6 @@ func (c *Context) Snapshot() Stats {
 		PatternMatches: atomic.LoadInt64(&c.stats.PatternMatches),
 		DrainNanos:     atomic.LoadInt64(&c.stats.DrainNanos),
 		OperatorsRun:   atomic.LoadInt64(&c.stats.OperatorsRun),
-		WorkersSpawned: atomic.LoadInt64(&c.stats.WorkersSpawned),
-		WorkerNanos:    atomic.LoadInt64(&c.stats.WorkerNanos),
 	}
 }
 

@@ -468,6 +468,26 @@ func (s *Sort) Close() error {
 	return s.Input.Close()
 }
 
+// StableSortIndices returns the permutation that sorts n items under
+// cmp (cmp(i,j) < 0 puts i first) with ties resolved by original index
+// — exactly the order sort.SliceStable produces.
+//
+// Deprecated: workers is ignored. The parameter is kept only because
+// perfbench, the repository benchmark, calls this signature.
+func StableSortIndices(n, workers int, cmp func(i, j int) int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if c := cmp(idx[a], idx[b]); c != 0 {
+			return c < 0
+		}
+		return idx[a] < idx[b]
+	})
+	return idx
+}
+
 // Distinct drops bindings equal to an earlier one.
 type Distinct struct {
 	Input Operator

@@ -42,9 +42,6 @@ type ExplainNode struct {
 	// PeakBuffered is the largest number of tuples the operator held
 	// materialized at once (hash tables, sort buffers, pending queues).
 	PeakBuffered int `json:"peak_buffered,omitempty"`
-	// Workers holds per-worker rows/busy-time for parallel operators
-	// (Exchange, ParallelHashJoin, parallel Match), captured at Close.
-	Workers []WorkerStat `json:"workers,omitempty"`
 	// Children mirror the operator tree.
 	Children []*ExplainNode `json:"children,omitempty"`
 }
@@ -106,15 +103,6 @@ func (n *ExplainNode) TreeLabel() string {
 	fmt.Fprintf(&b, " time=%.3fms", float64(n.TotalDuration())/1e6)
 	if n.PeakBuffered > 0 {
 		fmt.Fprintf(&b, " peak=%d", n.PeakBuffered)
-	}
-	if len(n.Workers) > 0 {
-		// Render rows only: row counts are deterministic per worker for
-		// hash partitioning, wall times are not.
-		rows := make([]string, len(n.Workers))
-		for i, w := range n.Workers {
-			rows[i] = fmt.Sprintf("%d", w.Rows)
-		}
-		fmt.Fprintf(&b, " workers=%d rows/worker=[%s]", len(n.Workers), strings.Join(rows, " "))
 	}
 	return b.String()
 }
@@ -182,23 +170,9 @@ func (i *Instrumented) Next() (Binding, error) {
 // Close implements Operator.
 func (i *Instrumented) Close() error {
 	i.poll()
-	// Worker stats must be read before Close tears the pool state down
-	// for operators that reset on Close, but after the pool has stopped;
-	// parallel operators keep the slice valid through Close, and Match
-	// keeps it until the next Open — so capture both before and after.
-	if ws, ok := i.Inner.(workerStater); ok {
-		if s := ws.WorkerStats(); len(s) > 0 {
-			i.Node.Workers = s
-		}
-	}
 	start := time.Now()
 	err := i.Inner.Close()
 	i.Node.CloseNanos += time.Since(start).Nanoseconds()
-	if ws, ok := i.Inner.(workerStater); ok {
-		if s := ws.WorkerStats(); len(s) > 0 {
-			i.Node.Workers = s
-		}
-	}
 	return err
 }
 
@@ -249,11 +223,6 @@ func Instrument(op Operator, labels map[Operator]string) (Operator, *ExplainNode
 		x.Input = child(x.Input)
 	case *Match:
 		x.Input = child(x.Input)
-	case *Exchange:
-		x.Input = child(x.Input)
-	case *ParallelHashJoin:
-		x.Left = child(x.Left)
-		x.Right = child(x.Right)
 	}
 	w := &Instrumented{Inner: op, Node: node}
 	w.buf, _ = op.(buffered)
@@ -300,18 +269,6 @@ func describe(op Operator, labels map[Operator]string) string {
 		parts = append(parts, strings.Join(keys, ", "))
 	case *TupleScan:
 		parts = append(parts, fmt.Sprintf("%d tuples", len(x.Tuples)))
-	case *Exchange:
-		if len(x.PartitionBy) > 0 {
-			parts = append(parts, fmt.Sprintf("workers=%d hash(%s)", x.Workers, strings.Join(x.PartitionBy, ",")))
-		} else {
-			parts = append(parts, fmt.Sprintf("workers=%d round-robin", x.Workers))
-		}
-	case *ParallelHashJoin:
-		d := fmt.Sprintf("workers=%d", x.Workers)
-		if len(x.On) > 0 {
-			d += " on " + strings.Join(x.On, ",")
-		}
-		parts = append(parts, d)
 	}
 	return strings.Join(parts, " ")
 }
@@ -346,10 +303,6 @@ func CountOps(op Operator) int {
 		n += CountOps(x.Input)
 	case *Match:
 		n += CountOps(x.Input)
-	case *Exchange:
-		n += CountOps(x.Input)
-	case *ParallelHashJoin:
-		n += CountOps(x.Left) + CountOps(x.Right)
 	}
 	return n
 }
@@ -390,10 +343,6 @@ func childOps(op Operator) []Operator {
 		return []Operator{x.Input}
 	case *Match:
 		return []Operator{x.Input}
-	case *Exchange:
-		return []Operator{x.Input}
-	case *ParallelHashJoin:
-		return []Operator{x.Left, x.Right}
 	default:
 		return nil
 	}

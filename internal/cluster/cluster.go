@@ -42,7 +42,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/qcache"
-	"repro/internal/sched"
 	"repro/internal/xmlql"
 )
 
@@ -181,22 +180,6 @@ type Cluster struct {
 	mShedQueueFull *obs.Counter
 	mShedDeadline  *obs.Counter
 	mQueueWait     *obs.Histogram
-
-	sched *sched.Scheduler // guarded by mu; surfaced on /debug/cluster
-}
-
-// SetScheduler attaches the shared inter-query worker scheduler so its
-// accounting appears in the /debug/cluster snapshot. The two admission
-// layers compose without double-counting: cluster capacity slots bound
-// how many *queries* run per instance, scheduler slots bound how many
-// extra *workers* all running queries may spread across, process-wide.
-// A query holds one cluster slot for its whole run and a worker grant
-// that breathes (downgrades, upgrades, batch-yield) at operator
-// boundaries inside that run.
-func (c *Cluster) SetScheduler(s *sched.Scheduler) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sched = s
 }
 
 // New builds a cluster over the given engine instances. Instance names
@@ -686,9 +669,6 @@ type Status struct {
 	ShedDeadline  int64            `json:"shed_deadline"`
 	AvgServiceMS  float64          `json:"avg_service_ms"`
 	Instances     []InstanceStatus `json:"instances"`
-	// Sched is the shared worker scheduler's accounting, when one is
-	// attached (SetScheduler).
-	Sched *sched.Snapshot `json:"sched,omitempty"`
 }
 
 // Status snapshots the registry for the inspector.
@@ -722,12 +702,7 @@ func (c *Cluster) Status() Status {
 			LastProbeE: m.lastErr,
 		})
 	}
-	schd := c.sched
 	c.mu.Unlock()
-	if schd != nil {
-		snap := schd.Snap()
-		st.Sched = &snap
-	}
 	// Cache and breaker snapshots take their own locks; collect outside.
 	for i := range st.Instances {
 		if q := extras[i].cache; q != nil {

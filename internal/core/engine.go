@@ -20,7 +20,6 @@ import (
 	"repro/internal/mediator"
 	"repro/internal/obs"
 	"repro/internal/opt"
-	"repro/internal/sched"
 	"repro/internal/xmldm"
 	"repro/internal/xmlql"
 )
@@ -38,9 +37,6 @@ type Engine struct {
 
 	mu         sync.RWMutex
 	opts       opt.Options                                         // guarded by mu
-	par        int                                                 // guarded by mu
-	scheduler  *sched.Scheduler                                    // guarded by mu; nil = sched.Default()
-	class      sched.Class                                         // guarded by mu; default query class
 	policy     exec.Policy                                         // guarded by mu
 	funcs      map[string]func([]xmldm.Value) (xmldm.Value, error) // guarded by mu
 	skipUnfold func(string) bool                                   // guarded by mu
@@ -55,7 +51,6 @@ type Engine struct {
 	// and the per-instance metric labels.
 	idMu sync.RWMutex
 	id   string // guarded by idMu
-
 
 	// inflight guards against cyclic schema materialization: per query
 	// execution (per Access), the set of schemas being materialized.
@@ -141,53 +136,6 @@ func (e *Engine) SetPlannerOptions(o opt.Options) {
 	e.opts = o
 }
 
-// SetParallelism sets the intra-query degree of parallelism a query
-// *requests*: n > 1 asks the planner to place exchange operators and
-// partitioned joins so a single query's pipelines run on up to n worker
-// goroutines; 1 forces serial plans (the pre-parallelism behavior);
-// 0 — the default — requests the scheduler's whole worker budget
-// (GOMAXPROCS unless configured otherwise). The degree actually used is
-// admitted per query by the shared scheduler (SetScheduler), which
-// grants min(desired, 1+available) with a floor of 1, so concurrent
-// queries share the budget instead of each claiming n workers. EXPLAIN
-// `workers=N` reflects the granted, not requested, degree. Parallel
-// plans produce output byte-identical to their serial twins at any
-// granted degree.
-func (e *Engine) SetParallelism(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.par = n
-}
-
-// SetScheduler attaches the shared inter-query scheduler this engine
-// admits query parallelism against. All engine instances of a process
-// normally share one scheduler (nimble.New wires this); nil — the
-// default — falls back to the process-wide sched.Default().
-func (e *Engine) SetScheduler(s *sched.Scheduler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.scheduler = s
-}
-
-// Scheduler reports the scheduler queries are admitted against.
-func (e *Engine) Scheduler() *sched.Scheduler {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.scheduler != nil {
-		return e.scheduler
-	}
-	return sched.Default()
-}
-
-// SetQueryClass sets the default scheduling class for this engine's
-// queries (interactive unless set); QueryOptions.Class overrides it per
-// query.
-func (e *Engine) SetQueryClass(c sched.Class) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.class = c
-}
-
 // RegisterFunc adds a scalar function visible to queries — the hook
 // through which the cleaning subsystem exposes normalization functions
 // for dynamic, query-time cleaning (§3.2).
@@ -245,12 +193,7 @@ type Stats struct {
 	// time and tree sizes across the query (including subqueries).
 	DrainNanos   int64
 	OperatorsRun int64
-	// ParallelWorkers / WorkerNanos count the parallel workers spawned
-	// by exchange-style operators during the query and their cumulative
-	// busy wall time (0 / 0 for serial plans).
-	ParallelWorkers int64
-	WorkerNanos     int64
-	Explain         []string
+	Explain      []string
 }
 
 // ExplainTree is the per-operator statistics tree of one execution (the
@@ -307,10 +250,6 @@ type QueryOptions struct {
 	// Result.Explain. The tree itself is always collected; this flag only
 	// gates output.
 	Explain bool
-	// Class overrides the engine's default scheduling class for this
-	// query: "interactive" or "batch" (empty keeps the engine default).
-	// The HTTP front end maps the X-Nimble-Class header here.
-	Class string
 }
 
 // Query parses and executes an XML-QL query.
@@ -343,20 +282,7 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	traces := e.traces
 	slow := e.slow
 	activeReg := e.active
-	schd := e.scheduler
-	class := e.class
-	par := e.par
 	e.mu.RUnlock()
-	if schd == nil {
-		schd = sched.Default()
-	}
-	if qo.Class != "" {
-		c, err := sched.ParseClass(qo.Class)
-		if err != nil {
-			return nil, err
-		}
-		class = c
-	}
 	// Precedence: the query's own ON-UNAVAILABLE prelude overrides the
 	// engine default; an explicit per-call option overrides both.
 	switch q.OnUnavailable {
@@ -393,31 +319,13 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 		ctx = obs.ContextWithSpan(ctx, root)
 	}
 
-	// Admission: the query's desired degree (SetParallelism; 0 = the
-	// scheduler's whole budget) is granted against the shared worker
-	// pool. Release is deferred unconditionally — it is idempotent, so
-	// completion, error, cancellation, and panic paths all return the
-	// slots exactly once.
-	grant := schd.Acquire(par, class)
-	defer grant.Release()
-	if root != nil {
-		spGrant := root.StartChild("sched.grant")
-		spGrant.SetAttr("class", class.String())
-		spGrant.SetInt("desired", int64(grant.Desired()))
-		spGrant.SetInt("granted", int64(grant.Degree()))
-		spGrant.SetBool("downgraded", grant.Degree() < grant.Desired())
-		spGrant.Finish()
-	}
-
 	access := e.runner.NewAccess(ctx, policy)
 	actx := &algebra.Context{Funcs: funcs, Trace: root}
-	workersGauge := metrics.Gauge("nimble_parallel_workers")
-	actx.OnWorkers = func(delta int) { workersGauge.Add(float64(delta)) }
 	res := &Result{Explain: &ExplainTree{Op: "Query"}}
 	actx.SubqueryEval = func(subq *xmlql.Query, outer algebra.Binding) ([]xmldm.Value, error) {
-		return e.run(ctx, subq, outer, access, actx, 1, nil, nil, nil, grant)
+		return e.run(ctx, subq, outer, access, actx, 1, nil, nil, nil)
 	}
-	values, err := e.run(ctx, q, nil, access, actx, 0, &res.Stats, aq, res.Explain, grant)
+	values, err := e.run(ctx, q, nil, access, actx, 0, &res.Stats, aq, res.Explain)
 	elapsed := time.Since(start)
 
 	metrics.Counter("nimble_queries_total").Inc()
@@ -434,8 +342,7 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 			Start:      start,
 			DurationMS: float64(elapsed) / float64(time.Millisecond),
 			Error:      err.Error(),
-			Plan:       res.Explain.Render(),
-		})
+		}, res.Explain.Render)
 		root.SetAttr("error", err.Error())
 		root.Finish()
 		if ownRoot {
@@ -450,8 +357,6 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	res.Stats.PatternMatches = snap.PatternMatches
 	res.Stats.DrainNanos = snap.DrainNanos
 	res.Stats.OperatorsRun = snap.OperatorsRun
-	res.Stats.ParallelWorkers = snap.WorkersSpawned
-	res.Stats.WorkerNanos = snap.WorkerNanos
 	res.Explain.RowsOut = int64(len(values))
 	res.Explain.Finalize()
 	attachFetchStats(res.Explain, access.FetchStats(), elapsed)
@@ -462,8 +367,7 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 		DurationMS: float64(elapsed) / float64(time.Millisecond),
 		Tuples:     snap.TuplesEmitted,
 		Complete:   res.Completeness.Complete,
-		Plan:       res.Explain.Render(),
-	})
+	}, res.Explain.Render)
 	if root != nil {
 		root.SetInt("results", int64(len(values)))
 		root.SetInt("tuples", snap.TuplesEmitted)
@@ -515,12 +419,10 @@ func attachFetchStats(ex *ExplainTree, fetches []exec.SourceFetchStat, elapsed t
 // and returns the constructed values in result order. aq (the active-
 // query handle) and ex (the EXPLAIN tree collecting one instrumented
 // plan per rewrite) are set only for the top-level query; both are
-// nil-safe to thread through. grant is the query's admitted degree of
-// parallelism from the shared scheduler; nil plans serially (the
-// materialization paths).
+// nil-safe to thread through.
 func (e *Engine) run(ctx context.Context, q *xmlql.Query, outer algebra.Binding,
 	access *exec.Access, actx *algebra.Context, depth int, stats *Stats,
-	aq *ActiveQuery, ex *algebra.ExplainNode, grant *sched.Grant) ([]xmldm.Value, error) {
+	aq *ActiveQuery, ex *algebra.ExplainNode) ([]xmldm.Value, error) {
 
 	if depth > maxDepth {
 		return nil, fmt.Errorf("core: query nesting exceeds %d levels (cyclic schema definitions?)", maxDepth)
@@ -532,18 +434,6 @@ func (e *Engine) run(ctx context.Context, q *xmlql.Query, outer algebra.Binding,
 	skip := e.skipUnfold
 	opts := e.opts
 	e.mu.RUnlock()
-	// degree reads the granted degree of parallelism at an operator
-	// boundary — a point where none of this query's plan operators are
-	// running, so degree changes are safe. Only the top-level query
-	// checkpoints (batch queries yield slack to interactive demand
-	// there); subquery evaluation can run while outer-plan operators are
-	// live, so it only observes the current degree.
-	degree := func() int {
-		if depth == 0 {
-			return grant.Checkpoint()
-		}
-		return grant.Degree()
-	}
 
 	sp := obs.FromContext(ctx)
 	aq.SetPhase("unfold")
@@ -575,10 +465,6 @@ func (e *Engine) run(ctx context.Context, q *xmlql.Query, outer algebra.Binding,
 		if sp != nil {
 			spRw = sp.StartChild(fmt.Sprintf("rewrite[%d]", ri))
 		}
-		// Every rewrite is re-admitted: the stamped degree picks up
-		// upgrades granted since the last boundary and, for batch
-		// queries, yields slack reclaimed by interactive arrivals.
-		opts.Parallelism = degree()
 		planner := opt.New(e.cat, access)
 		planner.Opts = opts
 		var preBound []string
@@ -676,11 +562,7 @@ func (e *Engine) run(ctx context.Context, q *xmlql.Query, outer algebra.Binding,
 		for i, k := range q.OrderBy {
 			descs[i] = k.Desc
 		}
-		// Keys were precomputed serially during construction, so the
-		// comparator only reads them — safe for the parallel chunk sorts
-		// of StableSortIndices, whose index tie-break reproduces exactly
-		// the sort.SliceStable order.
-		perm := algebra.StableSortIndices(len(items), degree(), func(i, j int) int {
+		perm := algebra.StableSortIndices(len(items), 1, func(i, j int) int {
 			for k := range descs {
 				if k >= len(items[i].keys) || k >= len(items[j].keys) {
 					return 0
@@ -745,11 +627,11 @@ func (e *Engine) materializeSchema(ctx context.Context, schema string, access *e
 	e.mu.RUnlock()
 	actx := &algebra.Context{Funcs: funcs}
 	actx.SubqueryEval = func(subq *xmlql.Query, outer algebra.Binding) ([]xmldm.Value, error) {
-		return e.run(ctx, subq, outer, access, actx, maxDepth/2+1, nil, nil, nil, nil)
+		return e.run(ctx, subq, outer, access, actx, maxDepth/2+1, nil, nil, nil)
 	}
 	root := &xmldm.Node{Name: schema}
 	for _, vd := range views {
-		vals, err := e.run(ctx, vd.Query, nil, access, actx, maxDepth/2+1, nil, nil, nil, nil)
+		vals, err := e.run(ctx, vd.Query, nil, access, actx, maxDepth/2+1, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/rdb"
-	"repro/internal/sched"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
 )
@@ -136,195 +134,6 @@ func TestUnfoldingEquivalence_Property(t *testing.T) {
 					seed, i, q, view, gotS[i], want[i])
 			}
 		}
-	}
-}
-
-// The serial/parallel differential property: for any query, a plan run
-// at parallelism N must produce output byte-identical to the serial
-// plan — same XML, same order, same completeness, same work counters.
-// Serial execution is the oracle; the generator reuses the randomized
-// deployment/query space of the unfolding property above.
-
-// parallelDegrees are the degrees the differential suite exercises:
-// serial oracle, minimal parallelism, and more workers than cores.
-var parallelDegrees = []int{1, 2, 8}
-
-// runAt executes q on e at the given degree of parallelism and returns
-// the serialized result document plus the result itself.
-func runAt(t *testing.T, e *Engine, q string, par int) (string, *Result) {
-	t.Helper()
-	e.SetParallelism(par)
-	res, err := e.Query(context.Background(), q)
-	if err != nil {
-		t.Fatalf("parallelism %d: %v\nquery: %s", par, err, q)
-	}
-	return res.Document().String(), res
-}
-
-func TestParallelEquivalence_Differential(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		e, view := randomDeployment(t, rng)
-		q := randomQuery(rng, false)
-
-		oracle, ores := runAt(t, e, q, 1)
-		for _, par := range parallelDegrees[1:] {
-			got, res := runAt(t, e, q, par)
-			if got != oracle {
-				t.Fatalf("seed %d parallelism %d: output differs from serial\nquery: %s\nview: %s\ngot:  %s\nwant: %s",
-					seed, par, q, view, got, oracle)
-			}
-			if res.Completeness.Complete != ores.Completeness.Complete {
-				t.Fatalf("seed %d parallelism %d: completeness %v vs serial %v",
-					seed, par, res.Completeness.Complete, ores.Completeness.Complete)
-			}
-			if res.Stats.TuplesEmitted != ores.Stats.TuplesEmitted ||
-				res.Stats.PatternMatches != ores.Stats.PatternMatches {
-				t.Fatalf("seed %d parallelism %d: stats (tuples=%d matches=%d) vs serial (tuples=%d matches=%d)",
-					seed, par, res.Stats.TuplesEmitted, res.Stats.PatternMatches,
-					ores.Stats.TuplesEmitted, ores.Stats.PatternMatches)
-			}
-		}
-	}
-}
-
-// TestParallelEquivalence_Workload runs the fixed multi-source workload
-// queries (joins across relational and XML sources, IN-$var chaining,
-// residual predicates, ORDER-BY) through every parallel degree.
-func TestParallelEquivalence_Workload(t *testing.T) {
-	workload := []string{
-		// Two-source join with a residual cross-source predicate.
-		`WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
-		       <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets"
-		 CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`,
-		// Relational-relational join with ORDER-BY (exercises the
-		// parallel final sort) and a selection.
-		`WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb",
-		       <order><cust>$i</cust><total>$t</total></order> IN "salesdb",
-		       $t > 100
-		 CONSTRUCT <big><who>$n</who><total>$t</total></big> ORDER-BY $t DESCENDING`,
-		// Mediated-schema scan with attribute pattern and predicate.
-		`WHERE <ticket pri=$p><subject>$s</subject></ticket> IN "tickets", $p = "high"
-		 CONSTRUCT <hot>$s</hot>`,
-		// Three-way join across all sources.
-		`WHERE <cust><cid>$i</cid><who>$w</who><where>$c</where></cust> IN "customers",
-		       <order><cust>$i</cust><total>$t</total></order> IN "salesdb",
-		       <ticket><cust>$i</cust></ticket> IN "tickets"
-		 CONSTRUCT <row><who>$w</who><city>$c</city><total>$t</total></row> ORDER-BY $w, $t`,
-	}
-	e, _ := newTestEngine(t)
-	for qi, q := range workload {
-		oracle, ores := runAt(t, e, q, 1)
-		if len(ores.Values) == 0 {
-			t.Fatalf("workload %d: oracle produced no rows (weak test)", qi)
-		}
-		for _, par := range parallelDegrees[1:] {
-			got, res := runAt(t, e, q, par)
-			if got != oracle {
-				t.Fatalf("workload %d parallelism %d: output differs from serial\ngot:  %s\nwant: %s",
-					qi, par, got, oracle)
-			}
-			if res.Completeness.Complete != ores.Completeness.Complete {
-				t.Fatalf("workload %d parallelism %d: completeness differs", qi, par)
-			}
-			if res.Stats.TuplesEmitted != ores.Stats.TuplesEmitted {
-				t.Fatalf("workload %d parallelism %d: tuples %d vs serial %d",
-					qi, par, res.Stats.TuplesEmitted, ores.Stats.TuplesEmitted)
-			}
-			if par > 1 && res.Stats.ParallelWorkers == 0 {
-				t.Fatalf("workload %d parallelism %d: no parallel workers spawned (plan not parallelized?)", qi, par)
-			}
-		}
-	}
-}
-
-// The scheduler differential property: whatever degree the shared
-// scheduler grants — full, downgraded to the floor, or upgraded at a
-// rewrite boundary — the answer must stay byte-identical to the serial
-// oracle, and every grant must be back in the pool when the query
-// completes. Serial execution (no scheduler involvement beyond the free
-// floor) is the oracle; budgets bracket the interesting regimes: 1
-// (everything downgraded), 2 (partial grants), 8 (demand fully met).
-func TestSchedulerGrantEquivalence_Differential(t *testing.T) {
-	for _, budget := range []int{1, 2, 8} {
-		for seed := int64(0); seed < 8; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			e, view := randomDeployment(t, rng)
-			q := randomQuery(rng, false)
-			oracle, ores := runAt(t, e, q, 1)
-
-			schd := sched.New(sched.Config{Budget: budget})
-			e.SetScheduler(schd)
-			// 0 = auto (resolves to the budget), then explicit degrees
-			// below, at, and above what the budget can grant.
-			for _, desired := range []int{0, 2, 8} {
-				got, res := runAt(t, e, q, desired)
-				if got != oracle {
-					t.Fatalf("budget %d seed %d desired %d: output differs from serial\nquery: %s\nview: %s\ngot:  %s\nwant: %s",
-						budget, seed, desired, q, view, got, oracle)
-				}
-				if res.Stats.TuplesEmitted != ores.Stats.TuplesEmitted {
-					t.Fatalf("budget %d seed %d desired %d: tuples %d vs serial %d",
-						budget, seed, desired, res.Stats.TuplesEmitted, ores.Stats.TuplesEmitted)
-				}
-				snap := schd.Snap()
-				if snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 {
-					t.Fatalf("budget %d seed %d desired %d: scheduler not idle after query: %+v",
-						budget, seed, desired, snap)
-				}
-				if snap.Free != snap.Budget {
-					t.Fatalf("budget %d seed %d desired %d: %d of %d slots leaked",
-						budget, seed, desired, snap.Budget-snap.Free, snap.Budget)
-				}
-			}
-		}
-	}
-}
-
-// Mixed classes over one shared scheduler: concurrent interactive and
-// batch queries racing for a tiny budget must each still produce the
-// serial answer, and the pool must balance to zero when they all finish.
-func TestSchedulerGrantEquivalence_MixedClasses(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	e, _ := randomDeployment(t, rng)
-	q := randomQuery(rng, false)
-	oracle, _ := runAt(t, e, q, 1)
-
-	schd := sched.New(sched.Config{Budget: 2})
-	e.SetScheduler(schd)
-	e.SetParallelism(4)
-	classes := []string{"interactive", "batch", "", "batch", "interactive", "batch"}
-	results := make([]string, len(classes))
-	errs := make([]error, len(classes))
-	var wg sync.WaitGroup
-	for i, class := range classes {
-		wg.Add(1)
-		go func(i int, class string) {
-			defer wg.Done()
-			res, err := e.QueryOpt(context.Background(), q, QueryOptions{Class: class})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = res.Document().String()
-		}(i, class)
-	}
-	wg.Wait()
-	for i := range classes {
-		if errs[i] != nil {
-			t.Fatalf("query %d (%q): %v", i, classes[i], errs[i])
-		}
-		if results[i] != oracle {
-			t.Fatalf("query %d (%q): output differs from serial\ngot:  %s\nwant: %s",
-				i, classes[i], results[i], oracle)
-		}
-	}
-	snap := schd.Snap()
-	if snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 || snap.Free != snap.Budget {
-		t.Fatalf("scheduler not idle after mixed-class run: %+v", snap)
-	}
-	if snap.Starved != 0 {
-		t.Fatalf("interactive starvation detected: %+v", snap)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/sched"
 )
 
 // scrubTimes replaces wall-clock figures and the unfolder's process-
@@ -16,18 +14,10 @@ import (
 var (
 	timeRE = regexp.MustCompile(`time=[0-9.]+ms`)
 	unfRE  = regexp.MustCompile(`_u[0-9]+_`)
-	// Leaf Match workers claim candidate elements atomically, so their
-	// per-worker row split is scheduling-dependent even though the output
-	// is deterministic; golden comparisons scrub the split.
-	rowsPerWorkerRE = regexp.MustCompile(`rows/worker=\[[^\]]*\]`)
 )
 
 func scrubTimes(s string) string {
 	return unfRE.ReplaceAllString(timeRE.ReplaceAllString(s, "time=?ms"), "_uN_")
-}
-
-func scrubWorkerRows(s string) string {
-	return rowsPerWorkerRE.ReplaceAllString(s, "rows/worker=[?]")
 }
 
 const twoSourceJoinQL = `
@@ -37,7 +27,6 @@ const twoSourceJoinQL = `
 
 func TestExplainGoldenTwoSourceJoin(t *testing.T) {
 	e, _ := newTestEngine(t)
-	e.SetParallelism(1) // pin the serial plan shape on multi-core runners
 	slow := NewSlowLog(4, 0)
 	active := NewActiveRegistry()
 	e.SetIntrospection(slow, active)
@@ -90,139 +79,46 @@ Query [rewrites=1] out=3 in=3 time=?ms
 	}
 }
 
-// TestExplainParallelPlanShape: at parallelism 2 the planner lifts the
-// residual Select into an Exchange and swaps the join for its
-// partitioned variant; the answer (and its EXPLAIN row counts) must
-// match the serial plan exactly, and the parallel operators must report
-// per-worker stats.
-func TestExplainParallelPlanShape(t *testing.T) {
-	e, _ := newTestEngine(t)
-	e.SetParallelism(2)
-
-	res, err := e.Query(context.Background(), twoSourceJoinQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Values) != 3 {
-		t.Fatalf("values = %d, want 3", len(res.Values))
-	}
-	ex := res.Explain.Find("Exchange")
-	if ex == nil {
-		t.Fatalf("no Exchange node in:\n%s", res.Explain.Render())
-	}
-	if !strings.Contains(ex.Detail, "runs Select") || !strings.Contains(ex.Detail, "workers=2") {
-		t.Errorf("Exchange detail = %q", ex.Detail)
-	}
-	if ex.RowsOut != 3 {
-		t.Errorf("Exchange rows out = %d, want 3", ex.RowsOut)
-	}
-	phj := res.Explain.Find("ParallelHashJoin")
-	if phj == nil {
-		t.Fatalf("no ParallelHashJoin node in:\n%s", res.Explain.Render())
-	}
-	if phj.RowsOut != 9 {
-		t.Errorf("ParallelHashJoin rows out = %d, want 9 (serial HashJoin count)", phj.RowsOut)
-	}
-	if len(phj.Workers) != 2 {
-		t.Errorf("ParallelHashJoin worker stats = %+v, want 2 workers", phj.Workers)
-	}
-	var rows int64
-	for _, w := range phj.Workers {
-		rows += w.Rows
-	}
-	if rows != 9 {
-		t.Errorf("worker rows sum = %d, want 9", rows)
-	}
-	if res.Stats.ParallelWorkers == 0 {
-		t.Error("Stats.ParallelWorkers = 0, want > 0")
-	}
-	if !strings.Contains(res.Explain.Render(), "rows/worker=") {
-		t.Errorf("rendered tree lacks per-worker rows:\n%s", res.Explain.Render())
-	}
-
-	// Same answer as the serial engine, byte for byte.
-	serial, _ := newTestEngine(t)
-	serial.SetParallelism(1)
-	sres, err := serial.Query(context.Background(), twoSourceJoinQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res.Document().String(), sres.Document().String(); got != want {
-		t.Errorf("parallel result differs from serial:\n%s\nwant:\n%s", got, want)
-	}
-	if res.Stats.TuplesEmitted != sres.Stats.TuplesEmitted {
-		t.Errorf("TuplesEmitted = %d, serial %d", res.Stats.TuplesEmitted, sres.Stats.TuplesEmitted)
-	}
-}
-
-// TestExplainGoldenSchedulerBudgetWorkers: SetParallelism(0) — "use the
-// machine" — resolves through the shared scheduler's budget, not
-// through GOMAXPROCS at query time. With a budget of 2, a lone query's
-// EXPLAIN must show workers=2 regardless of the host's core count, and
-// the granted degree must return to the pool at completion. This is the
-// regression test for the granted-vs-requested EXPLAIN contract.
-func TestExplainGoldenSchedulerBudgetWorkers(t *testing.T) {
-	e, _ := newTestEngine(t)
-	schd := sched.New(sched.Config{Budget: 2})
-	e.SetScheduler(schd)
-	e.SetParallelism(0) // auto: whatever the scheduler grants
-
-	res, err := e.Query(context.Background(), twoSourceJoinQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Values) != 3 {
-		t.Fatalf("values = %d, want 3", len(res.Values))
-	}
-	got := scrubWorkerRows(scrubTimes(res.Explain.Render()))
-	want := strings.TrimPrefix(`
-Query [rewrites=1] out=3 in=3 time=?ms
-├─ Exchange [runs Select(($i = $_uN_i)) workers=2 round-robin] out=3 in=9 time=?ms workers=2 rows/worker=[?]
-│  └─ ParallelHashJoin [workers=2] out=9 in=6 time=?ms peak=5 workers=2 rows/worker=[?]
-│     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
-│     └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
-│        └─ Singleton out=1 time=?ms
-├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
-└─ Fetch [tickets fetches=1 bytes=240] out=10 time=?ms
-`, "\n")
-	if got != want {
-		t.Errorf("explain tree:\n%s\nwant:\n%s", got, want)
-	}
-
-	// The grant went back at completion: the whole budget is free again
-	// and nothing is queued.
-	snap := schd.Snap()
-	if snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 {
-		t.Errorf("scheduler not idle after query: %+v", snap)
-	}
-	if snap.Budget != 2 || snap.Free != 2 {
-		t.Errorf("budget accounting = %+v, want budget 2 fully free", snap)
-	}
-
-	// Same answer as the serial twin, byte for byte.
-	serial, _ := newTestEngine(t)
-	serial.SetParallelism(1)
-	sres, err := serial.Query(context.Background(), twoSourceJoinQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotDoc, wantDoc := res.Document().String(), sres.Document().String(); gotDoc != wantDoc {
-		t.Errorf("budget-granted result differs from serial:\n%s\nwant:\n%s", gotDoc, wantDoc)
-	}
-}
-
 func TestSlowLogThresholdAndOrder(t *testing.T) {
 	l := NewSlowLog(2, 5*time.Millisecond)
-	l.Record(SlowEntry{Query: "fast", DurationMS: 1})
-	l.Record(SlowEntry{Query: "slow", DurationMS: 50})
-	l.Record(SlowEntry{Query: "slower", DurationMS: 80})
-	l.Record(SlowEntry{Query: "mid", DurationMS: 20})
+	l.Record(SlowEntry{Query: "fast", DurationMS: 1}, nil)
+	l.Record(SlowEntry{Query: "slow", DurationMS: 50}, nil)
+	l.Record(SlowEntry{Query: "slower", DurationMS: 80}, nil)
+	l.Record(SlowEntry{Query: "mid", DurationMS: 20}, nil)
 	entries := l.Entries()
 	if len(entries) != 2 {
 		t.Fatalf("entries = %d, want 2", len(entries))
 	}
 	if entries[0].Query != "slower" || entries[1].Query != "slow" {
 		t.Errorf("order = %q, %q", entries[0].Query, entries[1].Query)
+	}
+}
+
+// TestSlowLogRendersOnlyKeptEntries: the plan renderer runs only for an
+// entry the log inserts, never for one below the threshold or outranked
+// in a full log.
+func TestSlowLogRendersOnlyKeptEntries(t *testing.T) {
+	l := NewSlowLog(2, 5*time.Millisecond)
+	renders := 0
+	plan := func(name string) func() string {
+		return func() string { renders++; return "plan " + name }
+	}
+	l.Record(SlowEntry{Query: "fast", DurationMS: 1}, plan("fast"))
+	if renders != 0 {
+		t.Fatalf("renders after below-threshold entry = %d, want 0", renders)
+	}
+	l.Record(SlowEntry{Query: "slow", DurationMS: 50}, plan("slow"))
+	l.Record(SlowEntry{Query: "slower", DurationMS: 80}, plan("slower"))
+	if renders != 2 {
+		t.Fatalf("renders after two kept entries = %d, want 2", renders)
+	}
+	l.Record(SlowEntry{Query: "mid", DurationMS: 20}, plan("mid"))
+	if renders != 2 {
+		t.Fatalf("renders after outranked entry = %d, want 2", renders)
+	}
+	entries := l.Entries()
+	if len(entries) != 2 || entries[0].Plan != "plan slower" || entries[1].Plan != "plan slow" {
+		t.Errorf("entries = %+v", entries)
 	}
 }
 
@@ -246,5 +142,5 @@ func TestActiveRegistrySnapshot(t *testing.T) {
 	var nilAQ *ActiveQuery
 	nilAQ.SetPhase("eval")
 	var nilLog *SlowLog
-	nilLog.Record(SlowEntry{DurationMS: 100})
+	nilLog.Record(SlowEntry{DurationMS: 100}, nil)
 }

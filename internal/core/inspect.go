@@ -183,17 +183,27 @@ func (l *SlowLog) Threshold() time.Duration {
 
 // Record offers one completed query to the log (nil-safe). Entries below
 // the threshold, or faster than every retained entry of a full log, are
-// dropped.
-func (l *SlowLog) Record(e SlowEntry) {
+// dropped. plan, when non-nil, renders the entry's Plan. It runs only
+// for an entry the log would keep, and outside the lock, so a query
+// that does not make the log pays nothing for its rendered plan. (A
+// concurrent slower entry may still outrank it before insertion.)
+func (l *SlowLog) Record(e SlowEntry, plan func() string) {
 	if l == nil || e.DurationMS < float64(l.threshold)/float64(time.Millisecond) {
 		return
 	}
+	if plan != nil {
+		l.mu.Lock()
+		_, keep := l.rankLocked(e.DurationMS)
+		l.mu.Unlock()
+		if !keep {
+			return
+		}
+		e.Plan = plan()
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := sort.Search(len(l.entries), func(i int) bool {
-		return l.entries[i].DurationMS < e.DurationMS
-	})
-	if i >= l.limit {
+	i, keep := l.rankLocked(e.DurationMS)
+	if !keep {
 		return
 	}
 	l.entries = append(l.entries, SlowEntry{})
@@ -202,6 +212,15 @@ func (l *SlowLog) Record(e SlowEntry) {
 	if len(l.entries) > l.limit {
 		l.entries = l.entries[:l.limit]
 	}
+}
+
+// rankLocked reports the position an entry of the given duration would
+// take, and whether that position is within the limit.
+func (l *SlowLog) rankLocked(durationMS float64) (int, bool) {
+	i := sort.Search(len(l.entries), func(i int) bool {
+		return l.entries[i].DurationMS < durationMS
+	})
+	return i, i < l.limit
 }
 
 // Entries returns the retained entries, slowest first.

@@ -44,10 +44,10 @@ type Options struct {
 	// their binders. Answers are order-insensitive at this level — the
 	// engine sorts after construction — so reordering is safe.
 	ReorderJoins bool
-	// Parallelism is the intra-query degree of parallelism: > 1 makes
-	// the planner place exchange operators and partitioned joins (see
-	// parallel.go); <= 1 keeps plans serial. The engine stamps it from
-	// its resolved configuration before planning.
+	// Parallelism is ignored: plans are always serial.
+	//
+	// Deprecated: kept only because perfbench, the repository benchmark,
+	// sets it.
 	Parallelism int
 }
 
@@ -170,9 +170,6 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 		acc = &algebra.Select{Input: acc, Pred: pred}
 	}
 	plan.Root = acc
-	if p.Opts.Parallelism > 1 {
-		plan.Root = p.parallelize(plan, plan.Root)
-	}
 	return plan, nil
 }
 

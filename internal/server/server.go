@@ -33,7 +33,6 @@ import (
 	"repro/internal/matview"
 	"repro/internal/obs"
 	"repro/internal/qcache"
-	"repro/internal/sched"
 	"repro/internal/xmldm"
 	"repro/internal/xmlparse"
 	"repro/internal/xmlql"
@@ -394,20 +393,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return v == "1" || v == "true"
 	}
 	profile, explain := flag("profile"), flag("explain")
-	// X-Nimble-Class picks the scheduling class the shared worker
-	// scheduler admits this query under: "interactive" (the default) or
-	// "batch". Validated up front so a typo is a 400, not a query error.
-	class := strings.TrimSpace(r.Header.Get("X-Nimble-Class"))
-	if _, err := sched.ParseClass(class); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	ctx, sp := s.startTrace(w, r, "request")
 	defer s.finishTrace(sp)
 	start := time.Now()
 	var doc *xmldm.Node
 	if profile || explain {
-		res, err := s.Cluster.QueryOpt(ctx, q, core.QueryOptions{Profile: profile, Explain: explain, Class: class})
+		res, err := s.Cluster.QueryOpt(ctx, q, core.QueryOptions{Profile: profile, Explain: explain})
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 			s.logger().WarnContext(ctx, "query failed", "query", q, "error", err.Error())
@@ -433,7 +424,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		xmldm.Finalize(doc)
 	} else {
 		var err error
-		doc, err = s.runQueryClass(ctx, q, class)
+		doc, err = s.runQuery(ctx, q)
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 			s.logger().WarnContext(ctx, "query failed", "query", q, "error", err.Error())
@@ -463,13 +454,6 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 
 // runQuery consults the cache (complete results only) and dispatches.
 func (s *Server) runQuery(ctx context.Context, q string) (*xmldm.Node, error) {
-	return s.runQueryClass(ctx, q, "")
-}
-
-// runQueryClass is runQuery under an explicit scheduling class. The
-// class does not bypass caches: a hit serves from memory and never
-// reaches the scheduler, which is exactly the cheap path.
-func (s *Server) runQueryClass(ctx context.Context, q, class string) (*xmldm.Node, error) {
 	if s.Cache != nil {
 		if cached, ok := s.Cache.Get(q); ok {
 			res := &core.Result{Values: cached.Values}
@@ -477,7 +461,7 @@ func (s *Server) runQueryClass(ctx context.Context, q, class string) (*xmldm.Nod
 			return res.Document(), nil
 		}
 	}
-	res, err := s.Cluster.QueryOpt(ctx, q, core.QueryOptions{Class: class})
+	res, err := s.Cluster.Query(ctx, q)
 	if err != nil {
 		return nil, err
 	}

@@ -126,27 +126,11 @@ type Config struct {
 	// DisablePushdown turns off fragment compilation into sources (for
 	// ablation; the answer is unchanged, only slower).
 	DisablePushdown bool
-	// Parallelism is the intra-query degree of parallelism a query
-	// *requests*: how many worker goroutines one query's operator
-	// pipelines would like. 0 (the default) requests the scheduler's
-	// whole worker budget; 1 keeps plans serial. The degree actually
-	// used is admitted per query by the shared scheduler against
-	// WorkerBudget, so concurrent queries divide the budget instead of
-	// each claiming this many workers. Parallel plans produce
-	// byte-identical output to serial ones at any granted degree, so
-	// this is purely a throughput knob.
+	// Parallelism is ignored: plans are always serial.
+	//
+	// Deprecated: kept only because perfbench, the repository benchmark,
+	// sets it.
 	Parallelism int
-	// WorkerBudget is the process-wide pool of extra worker goroutines
-	// shared by all concurrent queries across every instance (a query
-	// granted degree d holds d−1 budget slots; the serial floor costs
-	// nothing and is never queued). 0 (the default) resolves to
-	// runtime.GOMAXPROCS(0).
-	WorkerBudget int
-	// QueryClass is the default scheduling class for this deployment's
-	// queries: "interactive" (the default) is served first; "batch"
-	// yields worker slack to interactive queries at operator
-	// boundaries. The per-request X-Nimble-Class header overrides it.
-	QueryClass string
 	// Metrics is the registry observing this deployment; nil uses the
 	// process-wide default registry.
 	Metrics *obs.Registry
@@ -274,7 +258,6 @@ type System struct {
 	slow     *core.SlowLog
 	active   *core.ActiveRegistry
 	breakers *exec.BreakerSet
-	sched    *sched.Scheduler
 	cfg      Config
 }
 
@@ -325,14 +308,6 @@ func New(cfg Config) *System {
 		Retries:      cfg.FetchRetries,
 		RetryBase:    cfg.RetryBackoff,
 	}
-	class, err := sched.ParseClass(cfg.QueryClass)
-	if err != nil {
-		panic(err) // Config is programmer input; fail loudly, like a bad template
-	}
-	// One scheduler per deployment: every instance admits its queries
-	// against the same worker budget, so the fleet cannot oversubscribe
-	// the machine no matter how many instances share it.
-	s.sched = sched.New(sched.Config{Budget: cfg.WorkerBudget, Metrics: reg})
 	for i := 0; i < cfg.Instances; i++ {
 		e := core.New(cat)
 		e.SetID(fmt.Sprintf("engine-%d", i))
@@ -342,9 +317,6 @@ func New(cfg Config) *System {
 		if cfg.DisablePushdown {
 			e.SetPlannerOptions(opt.Options{})
 		}
-		e.SetParallelism(cfg.Parallelism)
-		e.SetScheduler(s.sched)
-		e.SetQueryClass(class)
 		e.SetMetrics(reg)
 		e.SetTraceStore(traces)
 		e.SetIntrospection(s.slow, s.active)
@@ -365,7 +337,6 @@ func New(cfg Config) *System {
 		Metrics:       reg,
 		Logger:        logger,
 	}, s.engines...)
-	s.cluster.SetScheduler(s.sched)
 	if cfg.CacheEntries > 0 {
 		if cfg.CachePerInstance {
 			// Per-instance caches, routed by affinity; no shared front
@@ -683,10 +654,12 @@ func (s *System) Metrics() *obs.Registry { return s.metrics }
 // /debug/trace/last (nil when Config.TraceBuffer is negative).
 func (s *System) Traces() *obs.TraceStore { return s.traces }
 
-// Scheduler returns the shared inter-query worker scheduler every
-// instance of this deployment admits parallelism against (see
-// Config.WorkerBudget / Config.QueryClass).
-func (s *System) Scheduler() *sched.Scheduler { return s.sched }
+// Scheduler returns a serial scheduler stub whose grants are always
+// degree 1.
+//
+// Deprecated: kept only because perfbench, the repository benchmark,
+// calls it.
+func (s *System) Scheduler() *sched.Scheduler { return &sched.Scheduler{} }
 
 // SetTraceExporter attaches a batching exporter to the trace store:
 // every kept trace is offered to a bounded queue drained by a

@@ -2,6 +2,7 @@ package nimble
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -423,5 +424,34 @@ func TestFacadeCacheTTL(t *testing.T) {
 	sys.Query(context.Background(), q)
 	if sys.CacheStats().Hits != 0 {
 		t.Error("TTL should have expired the entry")
+	}
+}
+
+// TestExplainGoldenDefaultConfigSerialJoin pins the plan the default
+// configuration runs for a two-source join: a serial HashJoin, with no
+// exchange or partitioned operator, whatever the runner's core count.
+func TestExplainGoldenDefaultConfigSerialJoin(t *testing.T) {
+	sys := buildSystem(t, Config{})
+	res, err := sys.Query(context.Background(), `
+		WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
+		      <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets"
+		CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := regexp.MustCompile(`time=[0-9.]+ms`).ReplaceAllString(res.Explain.Render(), "time=?ms")
+	got = regexp.MustCompile(`_u[0-9]+_`).ReplaceAllString(got, "_uN_")
+	want := strings.TrimPrefix(`
+Query [rewrites=1] out=2 in=2 time=?ms
+├─ Select [($i = $_uN_i)] out=2 in=6 time=?ms
+│  └─ HashJoin out=6 in=5 time=?ms peak=3
+│     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
+│     └─ Match [fetch tickets <ticket>] out=2 in=1 time=?ms peak=1
+│        └─ Singleton out=1 time=?ms
+├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
+└─ Fetch [tickets fetches=1 bytes=168] out=7 time=?ms
+`, "\n")
+	if got != want {
+		t.Errorf("explain tree:\n%s\nwant:\n%s", got, want)
 	}
 }
