@@ -75,11 +75,17 @@ trace-smoke:
 # explain-smoke runs one federated two-source query through
 # `nimble-cli -explain` and asserts the EXPLAIN ANALYZE operator tree
 # renders with the expected nodes (join, pattern match, per-source fetch
-# attribution).
+# attribution). A second, point-join query must push its constant across
+# the join into the crmdb fragment as WHERE (id = 4).
 explain-smoke:
 	@out=$$($(GO) run ./cmd/nimble-cli -customers 20 -explain \
 		'WHERE <cust><cid>$$i</cid><who>$$w</who></cust> IN "customers", <ticket><cust>$$i</cust><issue>$$s</issue></ticket> IN "tickets" CONSTRUCT <r><who>$$w</who><issue>$$s</issue></r>'); \
 	for want in 'HashJoin' 'Match \[fetch tickets' 'Fetch \[crmdb' 'Fetch \[tickets' 'Query \[rewrites=' 'time=' 'out='; do \
 		echo "$$out" | grep -q "$$want" || { echo "explain-smoke: missing $$want in output:"; echo "$$out"; exit 1; }; \
+	done; \
+	out=$$($(GO) run ./cmd/nimble-cli -customers 20 -explain \
+		'WHERE <cust><cid>$$i</cid><who>$$w</who></cust> IN "customers", <ticket><cust>$$i</cust><issue>$$s</issue></ticket> IN "tickets", $$i = 4 CONSTRUCT <r><who>$$w</who><issue>$$s</issue></r>'); \
+	for want in 'HashJoin' 'pushdown crmdb: SELECT .* FROM customers WHERE (id = 4)'; do \
+		echo "$$out" | grep -q "$$want" || { echo "explain-smoke: point join: missing $$want in output:"; echo "$$out"; exit 1; }; \
 	done; \
 	echo "explain-smoke: OK"

@@ -10,6 +10,7 @@ package nimble_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	nimble "repro"
@@ -199,6 +200,60 @@ func BenchmarkQuery_CorrelatedAggregate(b *testing.B) {
 	q := `WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers", $i < 20
 		CONSTRUCT <p name=$w><n>{ count({ WHERE <customer><id>$i</id></customer> IN "crmdb" CONSTRUCT <o/> }) }</n></p>`
 	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Query(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkQuery_ViewJoin joins the customers mediated schema with a
+// second relational source. Unfolding leaves the join as $i = $_uN_i,
+// which the planner turns into hash-join keys.
+func BenchmarkQuery_ViewJoin(b *testing.B) {
+	sys := benchSystem(b, 2000, nimble.Config{})
+	if err := sys.AddRelationalSource("salesdb", workload.CustomerDB("sales", 2000, 2, 1)); err != nil {
+		b.Fatal(err)
+	}
+	q := `WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
+		<order><cust>$i</cust><oid>$o</oid><total>$t</total></order> IN "salesdb", $o < 20
+		CONSTRUCT <r><o>$o</o><w>$w</w><t>$t</t></r> ORDER-BY $o`
+	benchQuery(b, sys, q, 20)
+}
+
+// BenchmarkQuery_FederatedPointJoin joins the customers mediated schema
+// with an XML source for one customer id; the constant reaches the
+// crmdb fragment through the join's equivalence class.
+func BenchmarkQuery_FederatedPointJoin(b *testing.B) {
+	sys := benchSystem(b, 2000, nimble.Config{})
+	var tickets strings.Builder
+	tickets.WriteString("<tickets>")
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&tickets, "<ticket><cust>%d</cust><issue>issue %d</issue></ticket>", i*5, i)
+	}
+	tickets.WriteString("</tickets>")
+	if err := sys.AddXMLSource("tickets", tickets.String()); err != nil {
+		b.Fatal(err)
+	}
+	q := `WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
+		<ticket><cust>$i</cust><issue>$s</issue></ticket> IN "tickets", $i = 35
+		CONSTRUCT <r><w>$w</w><s>$s</s></r>`
+	benchQuery(b, sys, q, 1)
+}
+
+// benchQuery runs q b.N times and checks the answer has want results.
+func benchQuery(b *testing.B, sys *nimble.System, q string, want int) {
+	b.Helper()
+	ctx := context.Background()
+	res, err := sys.Query(ctx, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := len(res.Values); n != want {
+		b.Fatalf("results = %d, want %d", n, want)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Query(ctx, q); err != nil {

@@ -311,6 +311,31 @@ func TestHashJoinExplicitVars(t *testing.T) {
 	}
 }
 
+// TestHashJoinKeyPairs: a key pair joins differently named variables
+// under xmldm.Equal (so "7" matches 7 and Null matches Null, leaving
+// `=`'s Null semantics to a Select above), in left order × right order.
+func TestHashJoinKeyPairs(t *testing.T) {
+	left := scanOf(bind("a", xmldm.Int(7)), bind("a", xmldm.Null{}), bind("a", xmldm.Int(8)))
+	right := scanOf(
+		bind("b", xmldm.String("8"), "r", xmldm.Int(1)),
+		bind("b", xmldm.String("7"), "r", xmldm.Int(2)),
+		bind("b", xmldm.Null{}, "r", xmldm.Int(3)),
+		bind("b", xmldm.Int(7), "r", xmldm.Int(4)),
+	)
+	out, err := Drain(&Context{}, &HashJoin{Left: left, Right: right, Keys: []KeyPair{{Left: "a", Right: "b"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, b := range out {
+		r, _ := b.Get("r")
+		got = append(got, xmldm.Stringify(r))
+	}
+	if want := []string{"2", "4", "3", "1"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("joined r = %v, want %v", got, want)
+	}
+}
+
 func TestNestedLoopJoinWithPredicate(t *testing.T) {
 	left := scanOf(bind("a", xmldm.Int(1)), bind("a", xmldm.Int(5)))
 	right := scanOf(bind("b", xmldm.Int(3)), bind("b", xmldm.Int(7)))

@@ -81,14 +81,22 @@ func (p *Project) Close() error {
 }
 
 // HashJoin joins two binding streams on their shared variables (natural
-// join). The right input is built into a hash table at Open; the left
-// streams. With no shared variables it degenerates to a Cartesian
-// product.
+// join) and on explicit key pairs equating a left variable with a
+// differently named right variable. The right input is built into a hash
+// table on the first Next; the left streams. Output is left order ×
+// right order. With no shared variables and no key pairs every pair
+// matches, so the join is a Cartesian product.
+//
+// A key pair matches under xmldm.Equal, so Null equals Null: the planner
+// keeps the `$a = $b` predicate the pair came from as a Select above the
+// join, which gives the result `=`'s Null→false semantics.
 type HashJoin struct {
 	Left, Right Operator
 	// On lists the join variables; empty means "the shared variables of
 	// the first left and right bindings", resolved lazily.
 	On []string
+	// Keys lists the variable pairs to join on besides the shared names.
+	Keys []KeyPair
 
 	ctx     *Context
 	table   map[uint64][]Binding
@@ -97,6 +105,10 @@ type HashJoin struct {
 	varsSet bool
 	pending []Binding
 }
+
+// KeyPair equates the Left variable of the left input with the Right
+// variable of the right input.
+type KeyPair struct{ Left, Right string }
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Context) error {
@@ -130,13 +142,35 @@ func (j *HashJoin) buildRight() error {
 	}
 }
 
-func (j *HashJoin) keyOf(b Binding) uint64 {
+// keyOf hashes a binding's join values: the shared variables, then the
+// key-pair variables of its side.
+func (j *HashJoin) keyOf(b Binding, left bool) uint64 {
 	var h uint64 = 14695981039346656037
 	for _, v := range j.vars {
 		val, _ := b.Get(v)
 		h = h*1099511628211 ^ xmldm.Hash(val)
 	}
+	for _, k := range j.Keys {
+		name := k.Right
+		if left {
+			name = k.Left
+		}
+		val, _ := b.Get(name)
+		h = h*1099511628211 ^ xmldm.Hash(val)
+	}
 	return h
+}
+
+// keysMatch checks the key pairs, which the hash alone does not prove.
+func (j *HashJoin) keysMatch(l, r Binding) bool {
+	for _, k := range j.Keys {
+		lv, _ := l.Get(k.Left)
+		rv, _ := r.Get(k.Right)
+		if !xmldm.Equal(lv, rv) {
+			return false
+		}
+	}
+	return true
 }
 
 // Next implements Operator.
@@ -167,11 +201,14 @@ func (j *HashJoin) Next() (Binding, error) {
 		}
 		if len(j.table) == 0 && len(j.right) > 0 {
 			for _, r := range j.right {
-				k := j.keyOf(r)
+				k := j.keyOf(r, false)
 				j.table[k] = append(j.table[k], r)
 			}
 		}
-		for _, r := range j.table[j.keyOf(l)] {
+		for _, r := range j.table[j.keyOf(l, true)] {
+			if !j.keysMatch(l, r) {
+				continue
+			}
 			if m, ok := mergeBindings(l, r, j.vars); ok {
 				j.pending = append(j.pending, m)
 			}

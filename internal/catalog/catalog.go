@@ -78,6 +78,11 @@ type RelationalDescriptor struct {
 	RowElement string
 	// ColumnElements maps exported child-element names to column names.
 	ColumnElements map[string]string
+	// ColumnTypes maps column names to their SQL type spelling (INT,
+	// FLOAT, VARCHAR, BOOL, DATE). The compiler pushes a comparison with
+	// a value the query does not spell out only where the column's type
+	// makes SQL evaluation agree with the mediator's.
+	ColumnTypes map[string]string
 	// KeyColumn is the primary key column, if any.
 	KeyColumn string
 	// IndexedColumns lists columns with indexes (including the key).

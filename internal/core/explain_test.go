@@ -3,9 +3,13 @@ package core
 import (
 	"context"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/catalog"
+	"repro/internal/sources"
 )
 
 // scrubTimes replaces wall-clock figures and the unfolder's process-
@@ -44,8 +48,8 @@ func TestExplainGoldenTwoSourceJoin(t *testing.T) {
 	got := scrubTimes(res.Explain.Render())
 	want := strings.TrimPrefix(`
 Query [rewrites=1] out=3 in=3 time=?ms
-├─ Select [($i = $_uN_i)] out=3 in=9 time=?ms
-│  └─ HashJoin out=9 in=6 time=?ms peak=5
+├─ Select [($i = $_uN_i)] out=3 in=3 time=?ms
+│  └─ HashJoin out=3 in=6 time=?ms peak=3
 │     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
 │     └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2
 │        └─ Singleton out=1 time=?ms
@@ -76,6 +80,97 @@ Query [rewrites=1] out=3 in=3 time=?ms
 	}
 	if res.Stats.OperatorsRun <= 0 || res.Stats.DrainNanos <= 0 {
 		t.Errorf("stats = %+v (drain accounting missing)", res.Stats)
+	}
+}
+
+// TestExplainGoldenPointJoinPushesConstant: a constant on the join
+// variable of a join through a mediated schema reaches the relational
+// side through the equivalence $i = $_uN_i, so the crmdb fragment
+// carries WHERE (id = 2) and exports one row instead of the table.
+func TestExplainGoldenPointJoinPushesConstant(t *testing.T) {
+	e, _ := newTestEngine(t)
+	res, err := e.Query(context.Background(), `
+	WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
+	      <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets", $i = 2
+	CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := texts(res.Values); len(got) != 1 || got[0] != "Alan TuringManual unclear" {
+		t.Fatalf("values = %q", got)
+	}
+	got := scrubTimes(res.Explain.Render())
+	want := strings.TrimPrefix(`
+Query [rewrites=1] out=1 in=1 time=?ms
+├─ Select [($i = $_uN_i)] out=1 in=1 time=?ms
+│  └─ HashJoin out=1 in=2 time=?ms peak=1
+│     ├─ Select [($i = 2)] out=1 in=3 time=?ms
+│     │  └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2
+│     │     └─ Singleton out=1 time=?ms
+│     └─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers WHERE (id = 2)] out=1 time=?ms
+├─ Fetch [crmdb fetches=1 bytes=48] out=1 time=?ms
+└─ Fetch [tickets fetches=1 bytes=240] out=10 time=?ms
+`, "\n")
+	if got != want {
+		t.Errorf("explain tree:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestExplainGoldenCorrelatedSubqueryPushesOuterValue: a correlated
+// subquery runs once per outer binding, and each run pushes the outer
+// value into its fragment, so salesdb is read by one indexed
+// WHERE (cust = N) lookup per customer instead of a full export.
+func TestExplainGoldenCorrelatedSubqueryPushesOuterValue(t *testing.T) {
+	e, _ := newTestEngine(t)
+	src, err := e.Catalog().Source("salesdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sales := src.(*sources.RelationalSource).DB()
+	sales.MustExec(`CREATE INDEX ON orders (cust)`)
+	var sqls []string
+	e.SetObserver(func(source string, req catalog.Request, _ catalog.Cost, _ error) {
+		if source == "salesdb" {
+			sqls = append(sqls, req.Native)
+		}
+	})
+	res, err := e.Query(context.Background(), `
+		WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers"
+		CONSTRUCT <p><who>$w</who><n>{ count({ WHERE <order><cust>$i</cust></order> IN "salesdb" CONSTRUCT <o/> }) }</n></p>
+		ORDER-BY $w`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(texts(res.Values), ","); got != "Ada Lovelace2,Alan Turing1,Grace Hopper1" {
+		t.Fatalf("values = %s", got)
+	}
+	got := scrubTimes(res.Explain.Render())
+	want := strings.TrimPrefix(`
+Query [rewrites=1] out=3 in=3 time=?ms
+├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers ORDER BY name] out=3 time=?ms
+├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
+└─ Fetch [salesdb fetches=3 bytes=64] out=4 time=?ms
+`, "\n")
+	if got != want {
+		t.Errorf("explain tree:\n%s\nwant:\n%s", got, want)
+	}
+	sort.Strings(sqls)
+	wantSQL := []string{
+		"SELECT cust AS v__uN_i FROM orders WHERE (cust = 1)",
+		"SELECT cust AS v__uN_i FROM orders WHERE (cust = 2)",
+		"SELECT cust AS v__uN_i FROM orders WHERE (cust = 3)",
+	}
+	if len(sqls) != len(wantSQL) {
+		t.Fatalf("salesdb requests = %q, want %q", sqls, wantSQL)
+	}
+	for i, q := range sqls {
+		if scrubTimes(q) != wantSQL[i] {
+			t.Errorf("salesdb request %d = %q, want %q", i, q, wantSQL[i])
+		}
+		r, err := sales.Exec(q)
+		if err != nil || !r.Stats.IndexUsed {
+			t.Errorf("%s: err=%v index used=%v, want an index lookup", q, err, r != nil && r.Stats.IndexUsed)
+		}
 	}
 }
 

@@ -107,7 +107,10 @@ func New(cat *catalog.Catalog, access Access) *Planner {
 // Plan compiles one conjunctive rewrite. preBound lists variables whose
 // values the initial input already carries (the outer binding of a
 // correlated subquery); input is that initial operator (nil means a
-// single empty binding).
+// single empty binding). When input is a TupleScan of one binding and
+// selections are pushed, its values of pattern variables go into
+// relational fragments as equalities where SQL agrees with the mediator
+// on them.
 func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Operator) (*Plan, error) {
 	d := mediator.Decompose(rw.Query)
 	plan := &Plan{Construct: rw.Query.Construct, OrderBy: rw.Query.OrderBy}
@@ -116,6 +119,11 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 	for _, v := range preBound {
 		bound[v] = true
 	}
+	var outer algebra.Binding
+	if ts, ok := input.(*algebra.TupleScan); ok && len(ts.Tuples) == 1 {
+		outer = ts.Tuples[0]
+	}
+	eq := newEqualities(d.Predicates, preBound, outer)
 	pendingPreds := make([]xmlql.Expr, len(d.Predicates))
 	copy(pendingPreds, d.Predicates)
 
@@ -148,14 +156,15 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 			continue
 		}
 
-		groupPlan, err := p.planSourceGroup(plan, g, &pendingPreds, bound, singleFragment && p.Opts.PushOrder, rw.Query.OrderBy)
+		keys := eq.joinKeys(bound, g.GroupVars())
+		groupPlan, err := p.planSourceGroup(plan, g, eq, &pendingPreds, bound, singleFragment && p.Opts.PushOrder, rw.Query.OrderBy)
 		if err != nil {
 			return nil, err
 		}
 		if acc == nil {
 			acc = groupPlan
 		} else {
-			acc = &algebra.HashJoin{Left: acc, Right: groupPlan}
+			acc = &algebra.HashJoin{Left: acc, Right: groupPlan, Keys: keys}
 		}
 		acc = p.applyReadyPreds(acc, &pendingPreds, bound)
 	}
@@ -174,7 +183,7 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 }
 
 // planSourceGroup builds the access path for one source's patterns.
-func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlql.Expr,
+func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, eq *equalities, pending *[]xmlql.Expr,
 	bound map[string]bool, tryPushOrder bool, orderBy []xmlql.OrderKey) (algebra.Operator, error) {
 
 	isSchema := p.Cat.IsSchema(g.Source)
@@ -190,13 +199,19 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 	}
 
 	var groupPlan algebra.Operator
+	groupBound := map[string]bool{}
 	for _, pat := range g.Patterns {
 		patVars := pat.Vars()
 		var leaf algebra.Operator
 
 		if rel != nil {
-			// Offer the predicates this pattern alone can satisfy.
+			// Offer the predicates this pattern alone can satisfy, then
+			// the equalities the planner derived for its variables; a
+			// derived one the source does not take is dropped.
 			offer, offerIdx := predsFor(*pending, patVars)
+			if p.Opts.PushSelections {
+				offer = append(offer, sqlgen.Equalities(rel.Descriptors(), pat, eq.pinned(patVars))...)
+			}
 			sgOpts := sqlgen.Options{
 				PushSelections:  p.Opts.PushSelections,
 				PushProjections: p.Opts.PushProjections,
@@ -243,8 +258,9 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 		if groupPlan == nil {
 			groupPlan = leaf
 		} else {
-			groupPlan = &algebra.HashJoin{Left: groupPlan, Right: leaf}
+			groupPlan = &algebra.HashJoin{Left: groupPlan, Right: leaf, Keys: eq.joinKeys(groupBound, patVars)}
 		}
+		markBound(groupBound, patVars)
 	}
 	return groupPlan, nil
 }
@@ -424,16 +440,17 @@ func predsFor(pending []xmlql.Expr, vars []string) ([]xmlql.Expr, []int) {
 }
 
 // removePreds deletes from pending the offered predicates that were
-// consumed (offer minus rest), by index.
+// consumed (offer minus rest), by index. Offered predicates past
+// offerIdx are derived ones, not in pending.
 func removePreds(pending *[]xmlql.Expr, offerIdx []int, offer, rest []xmlql.Expr) {
 	restSet := map[xmlql.Expr]bool{}
 	for _, r := range rest {
 		restSet[r] = true
 	}
 	var drop []int
-	for i, o := range offer {
-		if !restSet[o] {
-			drop = append(drop, offerIdx[i])
+	for i, di := range offerIdx {
+		if !restSet[offer[i]] {
+			drop = append(drop, di)
 		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(drop)))

@@ -40,9 +40,11 @@ func NewRelationalSource(name string, db *rdb.Database) *RelationalSource {
 			Table:          tn,
 			RowElement:     singular(tn),
 			ColumnElements: make(map[string]string),
+			ColumnTypes:    make(map[string]string),
 		}
 		for i, c := range t.Schema.Columns {
 			d.ColumnElements[strings.ToLower(c.Name)] = strings.ToLower(c.Name)
+			d.ColumnTypes[strings.ToLower(c.Name)] = c.Type.String()
 			if i == t.Schema.PrimaryKey {
 				d.KeyColumn = strings.ToLower(c.Name)
 				d.IndexedColumns = append(d.IndexedColumns, strings.ToLower(c.Name))

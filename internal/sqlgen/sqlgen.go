@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/xmldm"
 	"repro/internal/xmlql"
 )
 
@@ -60,53 +61,9 @@ func DefaultOptions() Options { return Options{PushSelections: true, PushProject
 func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 	pat *xmlql.ElemPattern, preds []xmlql.Expr, opts Options) (*Fragment, []xmlql.Expr, error) {
 
-	row, desc, err := resolveRowPattern(descs, pat)
+	desc, varCol, conjuncts, err := translateRow(descs, pat)
 	if err != nil {
 		return nil, nil, err
-	}
-	if len(row.Attrs) > 0 || row.ElementAs != "" || row.ContentAs != "" || row.Tag.Var != "" {
-		// Relational exports carry no attributes, and element/content
-		// bindings need the XML form of the row, which SQL cannot build.
-		return nil, nil, ErrNotTranslatable
-	}
-
-	varCol := make(map[string]string) // variable -> column
-	var conjuncts []string
-	for _, item := range row.Content {
-		cp, ok := item.(*xmlql.ChildPattern)
-		if !ok {
-			return nil, nil, ErrNotTranslatable
-		}
-		e := cp.Elem
-		if e.Tag.Var != "" || e.Tag.Wild || e.Tag.Descendant || len(e.Tag.Alts) > 0 ||
-			len(e.Attrs) > 0 || e.ElementAs != "" || e.ContentAs != "" {
-			return nil, nil, ErrNotTranslatable
-		}
-		col, ok := desc.ColumnElements[strings.ToLower(e.Tag.Name)]
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: no column for element %q in table %q", ErrNotTranslatable, e.Tag.Name, desc.Table)
-		}
-		switch len(e.Content) {
-		case 0:
-			// Existence test: relational rows always carry the column.
-		case 1:
-			switch c := e.Content[0].(type) {
-			case *xmlql.VarContent:
-				if prev, bound := varCol[c.Var]; bound {
-					// The same variable on two columns is an intra-row
-					// equality predicate.
-					conjuncts = append(conjuncts, prev+" = "+col)
-				} else {
-					varCol[c.Var] = col
-				}
-			case *xmlql.TextContent:
-				conjuncts = append(conjuncts, col+" = "+sqlString(c.Text))
-			default:
-				return nil, nil, ErrNotTranslatable
-			}
-		default:
-			return nil, nil, ErrNotTranslatable
-		}
 	}
 
 	frag := &Fragment{Table: desc.Table, RowElement: desc.RowElement, VarColumns: make(map[string]string)}
@@ -197,6 +154,132 @@ func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 
 	frag.SQL = sb.String()
 	return frag, remaining, nil
+}
+
+// Equalities turns values the planner knows a pattern variable must
+// equal (a constant the query compares a joined variable with, or the
+// outer value of a correlated subquery) into `$v = literal` predicates
+// for Compile to push. known maps variables to those values. A
+// predicate is built only where SQL evaluation of `column = literal`
+// provably agrees with the mediator's `=` on the value the row exports.
+// Rows reach the mediator as text, and a NULL cell as the empty string,
+// so:
+//   - a canonical integer (an Int, or a String in canonical decimal
+//     form) becomes an integer literal on INT and VARCHAR columns: SQL
+//     and the mediator both compare it with the cell by numeric value,
+//     and neither matches a NULL;
+//   - a non-empty String that does not parse as a number becomes a
+//     string literal on VARCHAR columns only: the cell and its exported
+//     text are the same string, and no number or NULL equals it on
+//     either side.
+//
+// Everything else (floats, other numeric spellings such as " 24" or
+// "24.0", the empty string, other column types) stays with the
+// mediator. The result is nil when the pattern is not translatable.
+func Equalities(descs []catalog.RelationalDescriptor, pat *xmlql.ElemPattern, known map[string][]xmldm.Value) []xmlql.Expr {
+	if len(known) == 0 {
+		return nil
+	}
+	desc, varCol, _, err := translateRow(descs, pat)
+	if err != nil {
+		return nil
+	}
+	vars := make([]string, 0, len(known))
+	for v := range known {
+		vars = append(vars, v)
+	}
+	sort.Strings(vars)
+	var out []xmlql.Expr
+	for _, v := range vars {
+		col, ok := varCol[v]
+		if !ok {
+			continue
+		}
+		for _, val := range known[v] {
+			if lit, ok := agreeingLiteral(desc.ColumnTypes[col], val); ok {
+				out = append(out, &xmlql.BinExpr{Op: "=", L: &xmlql.VarExpr{Name: v}, R: &xmlql.LitExpr{Value: lit}})
+			}
+		}
+	}
+	return out
+}
+
+// agreeingLiteral is the rule Equalities documents: the literal for
+// `column = v` on a column of SQL type colType, if SQL and the mediator
+// agree on it.
+func agreeingLiteral(colType string, v xmldm.Value) (any, bool) {
+	var s string
+	switch x := v.(type) {
+	case xmldm.Int:
+		return int64(x), colType == "INT" || colType == "VARCHAR"
+	case xmldm.String:
+		s = string(x)
+	default:
+		return nil, false
+	}
+	if n, err := strconv.ParseInt(s, 10, 64); err == nil && strconv.FormatInt(n, 10) == s {
+		return n, colType == "INT" || colType == "VARCHAR"
+	}
+	if _, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil || s == "" {
+		return nil, false
+	}
+	return s, colType == "VARCHAR"
+}
+
+// translateRow resolves the table a pattern reads and maps each
+// variable to the column that binds it; conjuncts are the row's own
+// constraints (text content, a variable repeated across columns).
+func translateRow(descs []catalog.RelationalDescriptor, pat *xmlql.ElemPattern) (*catalog.RelationalDescriptor, map[string]string, []string, error) {
+	row, desc, err := resolveRowPattern(descs, pat)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if len(row.Attrs) > 0 || row.ElementAs != "" || row.ContentAs != "" || row.Tag.Var != "" {
+		// Relational exports carry no attributes, and element/content
+		// bindings need the XML form of the row, which SQL cannot build.
+		return nil, nil, nil, ErrNotTranslatable
+	}
+
+	varCol := make(map[string]string) // variable -> column
+	var conjuncts []string
+	for _, item := range row.Content {
+		cp, ok := item.(*xmlql.ChildPattern)
+		if !ok {
+			return nil, nil, nil, ErrNotTranslatable
+		}
+		e := cp.Elem
+		if e.Tag.Var != "" || e.Tag.Wild || e.Tag.Descendant || len(e.Tag.Alts) > 0 ||
+			len(e.Attrs) > 0 || e.ElementAs != "" || e.ContentAs != "" {
+			return nil, nil, nil, ErrNotTranslatable
+		}
+		col, ok := desc.ColumnElements[strings.ToLower(e.Tag.Name)]
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("%w: no column for element %q in table %q", ErrNotTranslatable, e.Tag.Name, desc.Table)
+		}
+		switch len(e.Content) {
+		case 0:
+			// Existence test: relational rows always carry the column.
+		case 1:
+			switch c := e.Content[0].(type) {
+			case *xmlql.VarContent:
+				if prev, bound := varCol[c.Var]; bound {
+					// The same variable on two columns is an intra-row
+					// equality predicate.
+					conjuncts = append(conjuncts, prev+" = "+col)
+				} else {
+					varCol[c.Var] = col
+				}
+			case *xmlql.TextContent:
+				conjuncts = append(conjuncts, col+" = "+sqlString(c.Text))
+			default:
+				return nil, nil, nil, ErrNotTranslatable
+			}
+		default:
+			return nil, nil, nil, ErrNotTranslatable
+		}
+	}
+
+	return desc, varCol, conjuncts, nil
 }
 
 // resolveRowPattern finds the element pattern that corresponds to a

@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/rdb"
 	"repro/internal/sources"
+	"repro/internal/xmldm"
 	"repro/internal/xmlql"
 )
 
@@ -384,5 +385,56 @@ func TestAliasCollisionsGetDistinctNames(t *testing.T) {
 	}
 	if !strings.Contains(frag.SQL, " AS "+a1) || !strings.Contains(frag.SQL, " AS "+a2) {
 		t.Errorf("SQL %q misses an alias", frag.SQL)
+	}
+}
+
+// TestEqualitiesAgreeWithMediator: a known value becomes a pushed
+// equality only on column types whose SQL comparison agrees with the
+// mediator's comparison of the exported text.
+func TestEqualitiesAgreeWithMediator(t *testing.T) {
+	descs := []catalog.RelationalDescriptor{{
+		Table:      "people",
+		RowElement: "person",
+		ColumnElements: map[string]string{
+			"id": "id", "name": "name", "born": "born", "vip": "vip", "score": "score",
+		},
+		ColumnTypes: map[string]string{
+			"id": "INT", "name": "VARCHAR", "born": "DATE", "vip": "BOOL", "score": "FLOAT",
+		},
+	}}
+	pat, _ := patAndPreds(t, `WHERE <person><id>$i</id><name>$n</name><born>$b</born><vip>$v</vip><score>$s</score></person> IN "db" CONSTRUCT <r/>`)
+	cases := []struct {
+		v    string
+		val  xmldm.Value
+		want string
+	}{
+		{"i", xmldm.Int(7), "($i = 7)"},
+		{"i", xmldm.String("7"), "($i = 7)"},
+		{"i", xmldm.String("-7"), "($i = -7)"},
+		{"i", xmldm.String("07"), ""},
+		{"i", xmldm.String(" 7"), ""},
+		{"i", xmldm.String("7.0"), ""},
+		{"i", xmldm.String("abc"), ""},
+		{"i", xmldm.Float(7), ""},
+		{"i", xmldm.Null{}, ""},
+		{"n", xmldm.String("Ada"), `($n = "Ada")`},
+		{"n", xmldm.String("7"), "($n = 7)"},
+		{"n", xmldm.String(""), ""},
+		{"n", xmldm.String("NaN"), ""},
+		{"b", xmldm.String("2001-01-02T00:00:00Z"), ""},
+		{"v", xmldm.String("true"), ""},
+		{"v", xmldm.Int(1), ""},
+		{"s", xmldm.Int(7), ""},
+	}
+	for _, c := range cases {
+		got := ""
+		if eqs := Equalities(descs, pat, map[string][]xmldm.Value{c.v: {c.val}}); len(eqs) == 1 {
+			got = xmlql.ExprString(eqs[0])
+		} else if len(eqs) > 1 {
+			t.Fatalf("$%s = %s: %d predicates", c.v, c.val, len(eqs))
+		}
+		if got != c.want {
+			t.Errorf("$%s = %s: got %q, want %q", c.v, c.val, got, c.want)
+		}
 	}
 }

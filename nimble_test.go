@@ -443,8 +443,8 @@ func TestExplainGoldenDefaultConfigSerialJoin(t *testing.T) {
 	got = regexp.MustCompile(`_u[0-9]+_`).ReplaceAllString(got, "_uN_")
 	want := strings.TrimPrefix(`
 Query [rewrites=1] out=2 in=2 time=?ms
-├─ Select [($i = $_uN_i)] out=2 in=6 time=?ms
-│  └─ HashJoin out=6 in=5 time=?ms peak=3
+├─ Select [($i = $_uN_i)] out=2 in=2 time=?ms
+│  └─ HashJoin out=2 in=5 time=?ms peak=2
 │     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
 │     └─ Match [fetch tickets <ticket>] out=2 in=1 time=?ms peak=1
 │        └─ Singleton out=1 time=?ms
